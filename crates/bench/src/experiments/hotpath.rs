@@ -16,7 +16,10 @@
 //!   time: allocator churn is invisible to the simulator's cost model, so
 //!   the zero-alloc work can only be observed on the host clock. Split
 //!   into `encode` (client send), `serve` (server poll: decode + app +
-//!   reply), and `recv` (client decode) segments.
+//!   reply), and `recv` (client decode) segments. Each op is timed in
+//!   [`REPS`] windows interleaved across ops and kinds, so drift in the host
+//!   hits every row alike; the report carries the median window and the
+//!   min/max spread.
 //! - **allocs/op** — real heap acquisitions from
 //!   [`cf_telemetry::alloctrack`], meaningful when the enclosing binary
 //!   installs [`cf_telemetry::CountingAlloc`] as its global allocator (the
@@ -26,9 +29,9 @@
 //! Emits `hotpath.json` (schema in EXPERIMENTS.md). The committed
 //! `BENCH_hotpath.json` is the ratchet baseline: the bench binary itself
 //! compares a fresh run against it and fails on regression — allocs/op is
-//! a hard floor (deterministic), ns/op gets a configurable tolerance
-//! (`CF_HOTPATH_TOLERANCE`, default 2.0×, wall clocks differ across
-//! machines).
+//! a hard floor (deterministic), the median ns/op gets a configurable
+//! tolerance (`CF_HOTPATH_TOLERANCE`, default 2.0×, wall clocks differ
+//! across machines).
 
 use std::time::Instant;
 
@@ -59,6 +62,10 @@ pub struct HotpathParams {
     pub batch_keys: usize,
 }
 
+/// Timed windows of `rounds` per op, interleaved across ops and kinds; the
+/// report is their median (odd, so the median is one window).
+const REPS: usize = 5;
+
 impl HotpathParams {
     /// Full run: enough rounds that per-round `Instant` overhead amortizes.
     pub fn full() -> Self {
@@ -85,9 +92,14 @@ impl HotpathParams {
 pub struct OpStats {
     /// Operation label (`get`, `batch_get`, `put`).
     pub op: &'static str,
-    /// Wall-clock nanoseconds per round trip.
+    /// Wall-clock nanoseconds per round trip in the median window.
     pub ns_per_op: f64,
-    /// Heap acquisitions per round trip (0.0 when not counted).
+    /// Fastest window's ns per round trip.
+    pub ns_min: f64,
+    /// Slowest window's ns per round trip.
+    pub ns_max: f64,
+    /// Heap acquisitions per round trip over all windows (0.0 when not
+    /// counted).
     pub allocs_per_op: f64,
     /// Client encode+send segment of `ns_per_op`.
     pub encode_ns_per_op: f64,
@@ -109,7 +121,7 @@ pub struct KindReport {
 /// The full report, as emitted to `hotpath.json`.
 #[derive(Clone, Debug)]
 pub struct HotpathReport {
-    /// Timed rounds per op.
+    /// Timed rounds per window.
     pub rounds: u64,
     /// Warmup rounds per op.
     pub warmup: u64,
@@ -171,15 +183,27 @@ impl RoundTimer {
         }
     }
 
-    fn stats(&self, op: &'static str, rounds: u64) -> OpStats {
+    fn total_ns(&self) -> f64 {
+        self.encode_ns + self.serve_ns + self.recv_ns
+    }
+
+    /// Folds the windows of one op: the median window's time and segments
+    /// (so they still telescope), the min/max spread, and allocations over
+    /// every window.
+    fn stats(op: &'static str, windows: &mut [RoundTimer], rounds: u64) -> OpStats {
+        windows.sort_by(|a, b| a.total_ns().total_cmp(&b.total_ns()));
         let per = |total: f64| total / rounds as f64;
+        let mid = &windows[windows.len() / 2];
+        let allocs: u64 = windows.iter().map(|w| w.allocs).sum();
         OpStats {
             op,
-            ns_per_op: per(self.encode_ns + self.serve_ns + self.recv_ns),
-            allocs_per_op: self.allocs as f64 / rounds as f64,
-            encode_ns_per_op: per(self.encode_ns),
-            serve_ns_per_op: per(self.serve_ns),
-            recv_ns_per_op: per(self.recv_ns),
+            ns_per_op: per(mid.total_ns()),
+            ns_min: per(windows[0].total_ns()),
+            ns_max: per(windows[windows.len() - 1].total_ns()),
+            allocs_per_op: allocs as f64 / (rounds * windows.len() as u64) as f64,
+            encode_ns_per_op: per(mid.encode_ns),
+            serve_ns_per_op: per(mid.serve_ns),
+            recv_ns_per_op: per(mid.recv_ns),
         }
     }
 }
@@ -212,69 +236,101 @@ fn timed_round(
     assert_eq!(resp.id, Some(id), "response matches request");
 }
 
-fn measure_kind(params: &HotpathParams, kind: SerKind, label: &'static str) -> KindReport {
-    let (mut client, mut server) = fixture(kind);
-    let value = vec![0x5A_u8; params.value_bytes];
-    let key: &[u8] = b"hotpath-key";
-    // The one Response for the whole kind: its value buffers reach batch
-    // capacity during warmup and are reused every round after.
-    let mut resp = Response::default();
-    // Batched keys share the hot key's value size; preload them once.
-    let batch_names: Vec<Vec<u8>> = (0..params.batch_keys)
-        .map(|i| format!("hotpath-batch-{i:04}").into_bytes())
-        .collect();
-    for name in &batch_names {
-        let id = client.send_put(name, &value);
-        server.poll();
-        assert!(client.recv_response_into(&mut resp), "preload put answered");
-        assert_eq!(resp.id, Some(id));
-    }
-    let batch_refs: Vec<&[u8]> = batch_names.iter().map(|n| n.as_slice()).collect();
+/// The three drivers.
+#[derive(Clone, Copy)]
+enum Op {
+    Get,
+    BatchGet,
+    Put,
+}
 
-    // Seed the hot key, then warm every driver.
-    let id = client.send_put(key, &value);
-    server.poll();
-    assert!(client.recv_response_into(&mut resp), "seed put answered");
-    assert_eq!(resp.id, Some(id));
-    for _ in 0..params.warmup {
-        let mut sink = RoundTimer::new();
-        timed_round(&mut client, &mut server, &mut sink, &mut resp, |c| {
-            c.send_get(&[key])
-        });
-        timed_round(&mut client, &mut server, &mut sink, &mut resp, |c| {
-            c.send_get(&batch_refs)
-        });
-        timed_round(&mut client, &mut server, &mut sink, &mut resp, |c| {
-            c.send_put(key, &value)
-        });
+impl Op {
+    /// Report order.
+    const ALL: [Op; 3] = [Op::Get, Op::BatchGet, Op::Put];
+
+    fn label(self) -> &'static str {
+        match self {
+            Op::Get => "get",
+            Op::BatchGet => "batch_get",
+            Op::Put => "put",
+        }
+    }
+}
+
+const HOT_KEY: &[u8] = b"hotpath-key";
+
+/// The request inputs every kind shares.
+struct Inputs<'a> {
+    value: &'a [u8],
+    /// Batched keys; they share the hot key's value size.
+    batch: &'a [&'a [u8]],
+}
+
+/// One kind's warm client/server pair.
+struct Rig {
+    client: KvClient,
+    server: KvServer,
+    /// The one Response for the whole kind: its value buffers reach batch
+    /// capacity during warmup and are reused every round after.
+    resp: Response,
+}
+
+impl Rig {
+    /// Builds the pair, preloads the batch keys and then the hot key, and
+    /// warms every driver.
+    fn warm(params: &HotpathParams, kind: SerKind, inputs: &Inputs) -> Rig {
+        let (client, server) = fixture(kind);
+        let mut rig = Rig {
+            client,
+            server,
+            resp: Response::default(),
+        };
+        for name in inputs.batch.iter().chain([&HOT_KEY]) {
+            let id = rig.client.send_put(name, inputs.value);
+            rig.server.poll();
+            assert!(
+                rig.client.recv_response_into(&mut rig.resp),
+                "preload put answered"
+            );
+            assert_eq!(rig.resp.id, Some(id));
+        }
+        for _ in 0..params.warmup {
+            for op in Op::ALL {
+                rig.window(op, inputs, 1);
+            }
+        }
+        rig
     }
 
-    let mut ops = Vec::new();
-    let mut get_t = RoundTimer::new();
-    for _ in 0..params.rounds {
-        timed_round(&mut client, &mut server, &mut get_t, &mut resp, |c| {
-            c.send_get(&[key])
-        });
+    /// Times `rounds` round trips of driver `op`.
+    fn window(&mut self, op: Op, inputs: &Inputs, rounds: u64) -> RoundTimer {
+        let Rig {
+            client,
+            server,
+            resp,
+        } = self;
+        let mut t = RoundTimer::new();
+        match op {
+            Op::Get => {
+                for _ in 0..rounds {
+                    timed_round(client, server, &mut t, resp, |c| c.send_get(&[HOT_KEY]));
+                }
+            }
+            Op::BatchGet => {
+                for _ in 0..rounds {
+                    timed_round(client, server, &mut t, resp, |c| c.send_get(inputs.batch));
+                }
+            }
+            Op::Put => {
+                for _ in 0..rounds {
+                    timed_round(client, server, &mut t, resp, |c| {
+                        c.send_put(HOT_KEY, inputs.value)
+                    });
+                }
+            }
+        }
+        t
     }
-    ops.push(get_t.stats("get", params.rounds));
-
-    let mut batch_t = RoundTimer::new();
-    for _ in 0..params.rounds {
-        timed_round(&mut client, &mut server, &mut batch_t, &mut resp, |c| {
-            c.send_get(&batch_refs)
-        });
-    }
-    ops.push(batch_t.stats("batch_get", params.rounds));
-
-    let mut put_t = RoundTimer::new();
-    for _ in 0..params.rounds {
-        timed_round(&mut client, &mut server, &mut put_t, &mut resp, |c| {
-            c.send_put(key, &value)
-        });
-    }
-    ops.push(put_t.stats("put", params.rounds));
-
-    KindReport { kind: label, ops }
 }
 
 fn report_json(r: &HotpathReport) -> String {
@@ -285,11 +341,14 @@ fn report_json(r: &HotpathReport) -> String {
             .iter()
             .map(|o| {
                 format!(
-                    "      {{\"op\": \"{}\", \"ns_per_op\": {:.1}, \"allocs_per_op\": {:.4}, \
+                    "      {{\"op\": \"{}\", \"ns_per_op\": {:.1}, \"ns_min\": {:.1}, \
+                     \"ns_max\": {:.1}, \"allocs_per_op\": {:.4}, \
                      \"encode_ns_per_op\": {:.1}, \"serve_ns_per_op\": {:.1}, \
                      \"recv_ns_per_op\": {:.1}}}",
                     o.op,
                     o.ns_per_op,
+                    o.ns_min,
+                    o.ns_max,
                     o.allocs_per_op,
                     o.encode_ns_per_op,
                     o.serve_ns_per_op,
@@ -305,14 +364,41 @@ fn report_json(r: &HotpathReport) -> String {
         ));
     }
     format!(
-        "{{\n  \"experiment\": \"hotpath\",\n  \"rounds\": {},\n  \"warmup\": {},\n  \
-         \"value_bytes\": {},\n  \"alloc_counted\": {},\n  \"kinds\": [\n{}  ]\n}}\n",
-        r.rounds, r.warmup, r.value_bytes, r.alloc_counted, kinds
+        "{{\n  \"experiment\": \"hotpath\",\n  \"rounds\": {},\n  \"reps\": {},\n  \
+         \"warmup\": {},\n  \"value_bytes\": {},\n  \"alloc_counted\": {},\n  \
+         \"kinds\": [\n{}  ]\n}}\n",
+        r.rounds, REPS, r.warmup, r.value_bytes, r.alloc_counted, kinds
     )
 }
 
 /// Runs the microbenchmark, prints the table, writes `hotpath.json`.
 pub fn run(params: &HotpathParams) -> HotpathReport {
+    let value = vec![0x5A_u8; params.value_bytes];
+    let batch_names: Vec<Vec<u8>> = (0..params.batch_keys)
+        .map(|i| format!("hotpath-batch-{i:04}").into_bytes())
+        .collect();
+    let batch: Vec<&[u8]> = batch_names.iter().map(Vec::as_slice).collect();
+    let inputs = Inputs {
+        value: &value,
+        batch: &batch,
+    };
+    let mut rigs: Vec<Rig> = KINDS
+        .iter()
+        .map(|(kind, _)| Rig::warm(params, *kind, &inputs))
+        .collect();
+    // windows[kind][op]: one timer per rep, interleaved so host drift
+    // lands on every kind and op alike.
+    let mut windows: Vec<Vec<Vec<RoundTimer>>> = rigs
+        .iter()
+        .map(|_| Op::ALL.iter().map(|_| Vec::new()).collect())
+        .collect();
+    for _ in 0..REPS {
+        for (rig, per_op) in rigs.iter_mut().zip(&mut windows) {
+            for (op, w) in Op::ALL.into_iter().zip(per_op.iter_mut()) {
+                w.push(rig.window(op, &inputs, params.rounds));
+            }
+        }
+    }
     let report = HotpathReport {
         rounds: params.rounds,
         warmup: params.warmup,
@@ -320,7 +406,15 @@ pub fn run(params: &HotpathParams) -> HotpathReport {
         alloc_counted: alloc_counting_active(),
         kinds: KINDS
             .iter()
-            .map(|(kind, label)| measure_kind(params, *kind, label))
+            .zip(&mut windows)
+            .map(|((_, label), per_op)| KindReport {
+                kind: label,
+                ops: Op::ALL
+                    .into_iter()
+                    .zip(per_op.iter_mut())
+                    .map(|(op, w)| RoundTimer::stats(op.label(), w, params.rounds))
+                    .collect(),
+            })
             .collect(),
     };
 
@@ -331,6 +425,7 @@ pub fn run(params: &HotpathParams) -> HotpathReport {
                 k.kind.to_string(),
                 o.op.to_string(),
                 format!("{:.0}", o.ns_per_op),
+                format!("{:.0}-{:.0}", o.ns_min, o.ns_max),
                 if report.alloc_counted {
                     format!("{:.2}", o.allocs_per_op)
                 } else {
@@ -343,11 +438,12 @@ pub fn run(params: &HotpathParams) -> HotpathReport {
         }
     }
     print_table(
-        "Hot path: ns/op and allocs/op per round trip (real time)",
+        "Hot path: median ns/op of the windows and allocs/op per round trip (real time)",
         &[
             "kind",
             "op",
             "ns/op",
+            "min-max",
             "allocs/op",
             "encode",
             "serve",
@@ -367,7 +463,7 @@ pub fn run(params: &HotpathParams) -> HotpathReport {
 /// allocations per window (lazy runtime init, hash-seed-dependent rehash
 /// timing, amortized container doubling that happens to land inside the
 /// window) is a *fixed* count, not a per-request cost, so the floor's
-/// slack is `STRAY_ALLOC_BUDGET / rounds` — it shrinks as the run grows.
+/// slack is `STRAY_ALLOC_BUDGET / rounds` — it shrinks as the windows grow.
 /// Any structural regression costs at least one allocation per request,
 /// orders of magnitude above this budget, and still trips.
 const STRAY_ALLOC_BUDGET: f64 = 16.0;
@@ -380,9 +476,9 @@ const STRAY_ALLOC_BUDGET: f64 = 16.0;
 ///   per-request rise over the baseline is a regression. Only enforced
 ///   when both the baseline and the current run actually counted
 ///   allocations.
-/// - **ns/op gets `tolerance`** (a multiplier, e.g. 2.0): wall clocks
-///   differ across machines, so the gate catches structural regressions,
-///   not scheduler noise.
+/// - **median ns/op gets `tolerance`** (a multiplier, e.g. 2.0): wall
+///   clocks differ across machines, so the gate catches structural
+///   regressions, not scheduler noise.
 /// - A kind/op present in the baseline but missing from the current run is
 ///   a violation — coverage only ratchets up.
 pub fn ratchet(current: &HotpathReport, baseline_json: &str, tolerance: f64) -> Vec<String> {
@@ -458,6 +554,7 @@ mod tests {
             assert_eq!(labels, ["get", "batch_get", "put"], "kind {}", k.kind);
             for o in &k.ops {
                 assert!(o.ns_per_op > 0.0, "{}:{} measured nothing", k.kind, o.op);
+                assert!(o.ns_min <= o.ns_per_op && o.ns_per_op <= o.ns_max);
                 let segments = o.encode_ns_per_op + o.serve_ns_per_op + o.recv_ns_per_op;
                 assert!((segments - o.ns_per_op).abs() < 1e-6, "segments telescope");
             }

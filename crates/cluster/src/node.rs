@@ -373,7 +373,7 @@ impl ClusterNode {
         // stamp different values with the same version.
         let shard = &mut self.server.shards_mut()[q];
         let vers = version::next(shard.version_of(&key), self.id);
-        let (_, applied) = shard.apply_versioned_put(req_id, &key, &val, vers);
+        let (_, applied) = shard.apply_versioned_put(req_id, &key, val.as_slice(), vers);
         if applied {
             self.log_apply(req_id, &key, &payload, vers);
         }
@@ -424,7 +424,7 @@ impl ClusterNode {
         // every heal cycle and could evict entries catch-up still needs.
         let version = pkt.hdr.version;
         let (flags, applied) =
-            self.server.shards_mut()[q].apply_versioned_put(req_id, &key, &val, version);
+            self.server.shards_mut()[q].apply_versioned_put(req_id, &key, val.as_slice(), version);
         self.counters.repl_applies.inc();
         if applied {
             let payload = pkt.payload.as_slice().to_vec();

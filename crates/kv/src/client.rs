@@ -13,7 +13,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use cf_mem::PoolConfig;
+use cf_mem::{LineBytes, PoolConfig};
 use cf_net::{FrameMeta, NetError, UdpStack, HEADER_BYTES};
 use cf_nic::link;
 use cf_sim::rng::SplitMix64;
@@ -125,13 +125,15 @@ struct Protection {
     fast_failed: Vec<u32>,
 }
 
-/// An in-flight request retained for retransmission.
+/// An in-flight request retained for retransmission. Its fields are
+/// line-aligned copies, so a retransmit's charged copies cost the same
+/// virtual time whatever the heap held when the request was sent.
 #[derive(Debug)]
 struct PendingReq {
     mtype: u8,
     index: Option<u32>,
-    keys: Vec<Vec<u8>>,
-    vals: Vec<Vec<u8>>,
+    keys: Vec<LineBytes>,
+    vals: Vec<LineBytes>,
     deadline: u64,
     retries: u32,
     /// Previous backoff interval (feeds decorrelated jitter).
@@ -373,10 +375,10 @@ impl KvClient {
             req_id: id,
         };
         let index = p.index;
-        let keys: Vec<Vec<u8>> = p.keys.clone();
-        let vals: Vec<Vec<u8>> = p.vals.clone();
-        let key_refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        let val_refs: Vec<&[u8]> = vals.iter().map(Vec::as_slice).collect();
+        let keys = p.keys.clone();
+        let vals = p.vals.clone();
+        let key_refs: Vec<&[u8]> = keys.iter().map(LineBytes::as_slice).collect();
+        let val_refs: Vec<&[u8]> = vals.iter().map(LineBytes::as_slice).collect();
         let _ = self.transmit(meta, index, &key_refs, &val_refs);
     }
 
@@ -467,8 +469,8 @@ impl KvClient {
                 PendingReq {
                     mtype,
                     index,
-                    keys: keys.iter().map(|k| k.to_vec()).collect(),
-                    vals: vals.iter().map(|v| v.to_vec()).collect(),
+                    keys: keys.iter().map(|k| LineBytes::new(k)).collect(),
+                    vals: vals.iter().map(|v| LineBytes::new(v)).collect(),
                     deadline: self.stack.sim().now() + retry.timeout_ns,
                     retries: 0,
                     last_backoff: retry.timeout_ns,
@@ -560,10 +562,10 @@ impl KvClient {
                 req_id: id,
             };
             let index = p.index;
-            let keys: Vec<Vec<u8>> = p.keys.clone();
-            let vals: Vec<Vec<u8>> = p.vals.clone();
-            let key_refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-            let val_refs: Vec<&[u8]> = vals.iter().map(Vec::as_slice).collect();
+            let keys = p.keys.clone();
+            let vals = p.vals.clone();
+            let key_refs: Vec<&[u8]> = keys.iter().map(LineBytes::as_slice).collect();
+            let val_refs: Vec<&[u8]> = vals.iter().map(LineBytes::as_slice).collect();
             self.counters.retries.inc();
             self.flight.record(
                 id,

@@ -4,6 +4,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
+use cf_mem::{LineBytes, RcBuf};
 use cf_net::{FrameMeta, Packet, UdpStack, HEADER_BYTES};
 use cf_sim::cost::Category;
 use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Telemetry};
@@ -17,6 +18,26 @@ use crate::msgs::GetMsg;
 use crate::overload::AdmissionConfig;
 use crate::store::KvStore;
 use crate::{flags, msg_type};
+
+/// A put value decoded for the replication layer by
+/// [`KvServer::decode_put`].
+#[derive(Debug)]
+pub enum PutValue {
+    /// A view into the received payload, or a copy in the stack's pool.
+    Pinned(RcBuf),
+    /// A line-aligned heap copy, for a value the pool could not hold.
+    Heap(LineBytes),
+}
+
+impl PutValue {
+    /// The value's bytes.
+    pub fn as_slice(&self) -> &[u8] {
+        match self {
+            PutValue::Pinned(buf) => buf.as_slice(),
+            PutValue::Heap(buf) => buf.as_slice(),
+        }
+    }
+}
 
 /// Which serialization library the server (and its clients) use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -635,32 +656,55 @@ impl KvServer {
     /// layer uses this to route a client put to its replica set and to
     /// apply forwarded `REPL_PUT`s (whose payload is the client's put
     /// payload, byte-for-byte). Returns `None` on malformed payloads.
-    pub fn decode_put(&mut self, payload: &cf_mem::RcBuf) -> Option<(Vec<u8>, Vec<u8>)> {
+    ///
+    /// The value stays in pinned memory where it can: a view into `payload`
+    /// wherever the decoder leaves the bytes in place, else a pool copy.
+    /// When the pool cannot hold it (exhausted, or larger than its biggest
+    /// class) the value falls back to a line-aligned heap copy, so the put
+    /// still reaches the store, which applies it or answers DEGRADED exactly
+    /// as for a plain server's put. Either way applying it charges the copy
+    /// from an address whose line offset does not depend on earlier
+    /// allocations.
+    pub fn decode_put(&mut self, payload: &RcBuf) -> Option<(Vec<u8>, PutValue)> {
+        let pool = &self.stack.ctx().pool;
+        let pinned = |val: &[u8]| {
+            let off = (val.as_ptr() as usize).checked_sub(payload.as_ptr() as usize);
+            match off {
+                Some(off) if off + val.len() <= payload.len() => {
+                    PutValue::Pinned(payload.slice(off, val.len()))
+                }
+                _ => match pool.alloc_from(val) {
+                    Ok(mut copy) => {
+                        // An empty value still takes a 1-byte slot.
+                        copy.truncate(val.len());
+                        PutValue::Pinned(copy)
+                    }
+                    Err(_) => PutValue::Heap(LineBytes::new(val)),
+                },
+            }
+        };
         match self.kind {
             SerKind::Cornflakes => {
                 let req = GetMsg::deserialize(self.stack.ctx(), payload).ok()?;
                 let key = req.keys.get(0)?.as_slice().to_vec();
-                let val = req.vals.get(0)?.as_slice().to_vec();
-                Some((key, val))
+                Some((key, pinned(req.vals.get(0)?.as_slice())))
             }
             SerKind::Protobuf => {
                 let sim = self.stack.sim().clone();
                 let req = PGetM::decode(&sim, payload).ok()?;
-                Some((req.keys.first()?.to_vec(), req.vals.first()?.to_vec()))
+                Some((req.keys.first()?.to_vec(), pinned(req.vals.first()?)))
             }
             SerKind::FlatBuffers => {
                 let sim = self.stack.sim().clone();
                 let req = FlatGetMView::parse(&sim, payload).ok()?;
                 let key = req.key(0).ok()?.to_vec();
-                let val = req.val(0).ok()?.to_vec();
-                Some((key, val))
+                Some((key, pinned(req.val(0).ok()?)))
             }
             SerKind::CapnProto => {
                 let sim = self.stack.sim().clone();
                 let req = CapnReader::parse(&sim, payload).ok()?;
                 let key = req.keys(&sim).ok()?.first()?.to_vec();
-                let val = req.vals(&sim).ok()?.first()?.to_vec();
-                Some((key, val))
+                Some((key, pinned(req.vals(&sim).ok()?.first()?)))
             }
         }
     }
@@ -1047,6 +1091,50 @@ impl CheckedIntoI32 for u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Protobuf decoder hands back a heap copy of the value, so
+    /// `decode_put` moves it into the pool: an empty value must stay empty
+    /// (the pool's smallest buffer is one byte), and a pool that cannot
+    /// hold the value must still yield it.
+    #[test]
+    fn decode_put_copies_values_the_decoder_does_not_leave_in_place() {
+        use crate::client::{KvClient, CLIENT_PORT, SERVER_PORT};
+        use cornflakes_core::SerializationConfig;
+
+        let sim = cf_sim::Sim::new(cf_sim::MachineProfile::tiny_for_tests());
+        let (cp, sp) = cf_nic::link();
+        let client_stack =
+            UdpStack::new(sim.clone(), cp, CLIENT_PORT, SerializationConfig::hybrid());
+        let server_stack = UdpStack::with_pool_config(
+            sim,
+            sp,
+            SERVER_PORT,
+            SerializationConfig::hybrid(),
+            cf_mem::PoolConfig::small_for_tests(),
+        );
+        let mut client = KvClient::new(client_stack, SerKind::Protobuf);
+        let mut server = KvServer::new(server_stack, SerKind::Protobuf);
+        let mut received = |val: &[u8]| {
+            client.send_put(b"key", val);
+            server.stack.recv_packet().expect("put delivered")
+        };
+        let empty = received(b"");
+        let small = received(b"abc");
+
+        let (key, val) = server.decode_put(&empty.payload).expect("well-formed");
+        assert_eq!(key, b"key");
+        assert!(matches!(val, PutValue::Pinned(_)));
+        assert_eq!(val.as_slice(), b"");
+
+        // Hold every buffer of the smallest class.
+        let mut held = Vec::new();
+        while let Ok(buf) = server.stack.ctx().pool.alloc(1) {
+            held.push(buf);
+        }
+        let (_, val) = server.decode_put(&small.payload).expect("well-formed");
+        assert!(matches!(val, PutValue::Heap(_)));
+        assert_eq!(val.as_slice(), b"abc");
+    }
 
     #[test]
     fn dedup_window_evicts_oldest_first() {

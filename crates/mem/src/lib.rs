@@ -33,6 +33,7 @@
 
 pub mod arena;
 pub mod cow;
+pub mod line;
 pub mod pool;
 pub mod rcbuf;
 pub mod region;
@@ -41,6 +42,7 @@ pub mod stats;
 
 pub use arena::{Arena, ArenaBytes};
 pub use cow::CowBuf;
+pub use line::LineBytes;
 pub use pool::{AllocError, PinnedPool, PoolConfig};
 pub use rcbuf::RcBuf;
 pub use registry::Registry;

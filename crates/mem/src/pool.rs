@@ -187,6 +187,11 @@ impl PinnedPool {
         Ok(buf)
     }
 
+    /// Largest buffer [`PinnedPool::alloc`] can return, in bytes.
+    pub fn max_alloc(&self) -> usize {
+        self.config.max_class
+    }
+
     /// Total bytes of registered region memory currently owned by the pool.
     pub fn registered_bytes(&self) -> usize {
         self.classes

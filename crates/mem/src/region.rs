@@ -16,6 +16,17 @@ use crate::stats::MemStats;
 /// Alignment of region backing memory. 4 KiB matches page-pinned DMA memory.
 pub const REGION_ALIGN: usize = 4096;
 
+/// Reference counts per cache line of the side table.
+const COUNTS_PER_LINE: usize = 16;
+
+/// One 64-byte line of the refcount side table. Line alignment pins every
+/// slot's count to the same line offset whatever else the heap holds, so the
+/// cache model's hit/miss pattern on refcounts does not depend on earlier
+/// allocations.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct RefcountLine([AtomicU32; COUNTS_PER_LINE]);
+
 /// One registered pinned region: `num_slots` slots of `slot_size` bytes each.
 ///
 /// The backing storage is a raw allocation rather than a `Box<[u8]>` so that
@@ -28,8 +39,8 @@ pub struct Region {
     layout: Layout,
     slot_size: usize,
     num_slots: usize,
-    /// Per-slot reference counts. Index = slot number.
-    refcounts: Box<[AtomicU32]>,
+    /// Per-slot reference counts, line-aligned; see [`Region::count`].
+    refcounts: Box<[RefcountLine]>,
     /// Stack of free slot indices.
     free: Mutex<Vec<u32>>,
     /// Stable identifier assigned by the registry.
@@ -77,7 +88,9 @@ impl Region {
         // alignment; a null return is handled by the explicit panic.
         let base = unsafe { alloc_zeroed(layout) };
         assert!(!base.is_null(), "region allocation of {bytes} bytes failed");
-        let refcounts: Box<[AtomicU32]> = (0..num_slots).map(|_| AtomicU32::new(0)).collect();
+        let refcounts = (0..num_slots.div_ceil(COUNTS_PER_LINE))
+            .map(|_| RefcountLine::default())
+            .collect();
         // Hand slots out low-to-high for address locality.
         let free = (0..num_slots as u32).rev().collect();
         Region {
@@ -155,22 +168,28 @@ impl Region {
         unsafe { self.base.add(slot as usize * self.slot_size) }
     }
 
+    /// The reference count of `slot`.
+    fn count(&self, slot: u32) -> &AtomicU32 {
+        let slot = slot as usize;
+        &self.refcounts[slot / COUNTS_PER_LINE].0[slot % COUNTS_PER_LINE]
+    }
+
     /// Address of the reference count for `slot` — the "metadata address"
     /// that upper layers charge cache costs against.
     pub fn refcount_addr(&self, slot: u32) -> u64 {
-        &self.refcounts[slot as usize] as *const AtomicU32 as u64
+        self.count(slot) as *const AtomicU32 as u64
     }
 
     /// Current reference count of `slot` (test/diagnostic use).
     pub fn refcount(&self, slot: u32) -> u32 {
-        self.refcounts[slot as usize].load(Ordering::Acquire)
+        self.count(slot).load(Ordering::Acquire)
     }
 
     /// Pops a free slot, setting its refcount to one. Returns `None` when
     /// the region is exhausted.
     pub fn take_slot(&self) -> Option<u32> {
         let slot = self.free.lock().unwrap().pop()?;
-        let prev = self.refcounts[slot as usize].swap(1, Ordering::AcqRel);
+        let prev = self.count(slot).swap(1, Ordering::AcqRel);
         debug_assert_eq!(prev, 0, "free slot had live references");
         self.stats.slot_taken();
         Some(slot)
@@ -183,7 +202,7 @@ impl Region {
     /// Panics in debug builds if the slot was free (count zero): recovering
     /// a pointer into freed memory indicates an application bug.
     pub fn incref(&self, slot: u32) {
-        let prev = self.refcounts[slot as usize].fetch_add(1, Ordering::AcqRel);
+        let prev = self.count(slot).fetch_add(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "incref on a free slot");
         self.stats.increfs.fetch_add(1, Ordering::Relaxed);
     }
@@ -191,7 +210,7 @@ impl Region {
     /// Decrements the refcount of `slot`; at zero the slot returns to the
     /// free list.
     pub fn decref(&self, slot: u32) {
-        let prev = self.refcounts[slot as usize].fetch_sub(1, Ordering::AcqRel);
+        let prev = self.count(slot).fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "decref underflow");
         self.stats.decrefs.fetch_add(1, Ordering::Relaxed);
         if prev == 1 {

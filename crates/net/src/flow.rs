@@ -19,6 +19,9 @@
 //!   (`reasm_cap`; overflow dropped-as-loss for the peer's RTO to retry)
 //!   and its retransmission queue is bounded (`max_tx_records`; sends
 //!   return `Ok(false)` instead of queueing unboundedly to a dead peer).
+//!   A flow whose length prefix announces a message it could never
+//!   deliver (more than one pool buffer, or than the cap holds) is reset
+//!   and counted in `net.tcp.flow.oversize_rsts`.
 //! - **Provable teardown**: FIN and RST free the slot immediately —
 //!   retransmission `RcBuf` references drop back to the pinned pool on
 //!   close, not when the listener drops.
@@ -233,6 +236,8 @@ pub struct ListenerStats {
     pub reaps: u64,
     /// In-order payload bytes refused at the per-flow reassembly cap.
     pub reasm_overflow_drops: u64,
+    /// Flows reset for announcing a message larger than they can deliver.
+    pub oversize_rsts: u64,
     /// Sends refused at the per-flow retransmission-queue cap.
     pub tx_cap_drops: u64,
     /// Segments retransmitted.
@@ -255,6 +260,7 @@ struct ListenCounters {
     resets: Counter,
     reaps: Counter,
     reasm_overflow_drops: Counter,
+    oversize_rsts: Counter,
     tx_cap_drops: Counter,
     retransmissions: Counter,
     msgs_sent: Counter,
@@ -355,6 +361,7 @@ impl TcpListener {
             resets: tele.counter("net.tcp.flow.resets"),
             reaps: tele.counter("net.tcp.flow.reaps"),
             reasm_overflow_drops: tele.counter("net.tcp.flow.reasm_overflow_drops"),
+            oversize_rsts: tele.counter("net.tcp.flow.oversize_rsts"),
             tx_cap_drops: tele.counter("net.tcp.flow.tx_cap_drops"),
             retransmissions: tele.counter("net.tcp.flow.retransmissions"),
             msgs_sent: tele.counter("net.tcp.flow.msgs_sent"),
@@ -728,6 +735,10 @@ impl TcpListener {
                     );
                     slot.reasm.extend_from_slice(payload);
                     slot.rcv_nxt = slot.rcv_nxt.wrapping_add(payload_len as u32);
+                    if self.head_oversize(i) {
+                        return self.refuse_oversize(idx);
+                    }
+                    let slot = &mut self.slots[i];
                     if !slot.in_ready && has_complete_msg(&slot.reasm) {
                         slot.in_ready = true;
                         self.ready.push_back(idx);
@@ -755,6 +766,34 @@ impl TcpListener {
             self.free_slot(idx, FLOW_CLOSE_FIN);
         }
         Ok(())
+    }
+
+    /// Whether flow `i`'s next message announces more bytes than any
+    /// `recv_from` could deliver: one pool buffer, and (when capped) a
+    /// reassembly buffer that also holds the 4-byte prefix.
+    fn head_oversize(&self, i: usize) -> bool {
+        let reasm = &self.slots[i].reasm;
+        if reasm.len() < 4 {
+            return false;
+        }
+        let mut max = self.ctx.pool.max_alloc();
+        if self.cfg.reasm_cap > 0 {
+            max = max.min(self.cfg.reasm_cap.saturating_sub(4));
+        }
+        u32::from_le_bytes(reasm[..4].try_into().expect("4 bytes")) as usize > max
+    }
+
+    /// Refuses a flow whose next message can never be delivered: the slot
+    /// (and every buffer it holds) is freed now and the peer gets an RST.
+    fn refuse_oversize(&mut self, idx: u32) -> Result<(), NetError> {
+        let (remote, snd_nxt, rcv_nxt) = {
+            let slot = &self.slots[idx as usize];
+            (slot.remote, slot.snd_nxt, slot.rcv_nxt)
+        };
+        self.stats.oversize_rsts += 1;
+        self.counters.oversize_rsts.inc();
+        self.free_slot(idx, FLOW_CLOSE_LOCAL);
+        self.send_raw(remote, snd_nxt, rcv_nxt, FLAG_RST | FLAG_ACK, 0.15)
     }
 
     fn advance_timers(&mut self) -> Result<(), NetError> {
@@ -838,6 +877,12 @@ impl TcpListener {
             let i = idx as usize;
             if !self.slots[i].in_ready {
                 continue; // flow closed after queueing
+            }
+            if self.head_oversize(i) {
+                // Became the head behind a delivered message; it could
+                // never be handed out, so the flow would wedge in `ready`.
+                self.refuse_oversize(idx)?;
+                continue;
             }
             let len = {
                 let reasm = &self.slots[i].reasm;

@@ -1,7 +1,7 @@
 //! Flow-table listener end-to-end tests: accept, serve, teardown, reap,
 //! bounded state under misbehaving peers, and the zero-alloc churn proof.
 
-use cf_net::tcp::{FLAG_ACK, FLAG_SYN, OFF_ACK, OFF_DST, OFF_FLAGS, OFF_SEQ, OFF_SRC};
+use cf_net::tcp::{FLAG_ACK, FLAG_RST, FLAG_SYN, OFF_ACK, OFF_DST, OFF_FLAGS, OFF_SEQ, OFF_SRC};
 use cf_net::{FlowConfig, FlowId, NetError, TcpListener, TcpStack};
 use cf_nic::PortHub;
 use cf_sim::{Clock, MachineProfile, Sim};
@@ -91,6 +91,14 @@ fn raw_handshake_ack(src: u16) -> Vec<u8> {
     f[OFF_SEQ..OFF_SEQ + 4].copy_from_slice(&2u32.to_le_bytes());
     f[OFF_ACK..OFF_ACK + 4].copy_from_slice(&2u32.to_le_bytes());
     f[OFF_FLAGS] = FLAG_ACK;
+    f
+}
+
+/// A raw in-order data segment from `src` at stream sequence `seq`.
+fn raw_data(src: u16, seq: u32, payload: &[u8]) -> Vec<u8> {
+    let mut f = raw_handshake_ack(src);
+    f[OFF_SEQ..OFF_SEQ + 4].copy_from_slice(&seq.to_le_bytes());
+    f.extend_from_slice(payload);
     f
 }
 
@@ -284,6 +292,107 @@ fn per_flow_reasm_cap_bounds_a_slow_drip_reader() {
         sim_step(&sim, &mut hub, &mut listener, &mut client);
     }
     assert_eq!(delivered, 16, "every message eventually delivered");
+}
+
+#[test]
+fn oversized_announced_length_resets_the_flow_and_keeps_serving() {
+    let (mut listener, mut hub, sim, _clock) = rig(FlowConfig::default());
+    let tele = Telemetry::attach(&sim);
+    listener.set_telemetry(&tele);
+    let baseline = listener.ctx().pool.live_slots();
+    let mut good = connect_client(&mut listener, &mut hub, &sim, 4000);
+
+    // A raw peer announces a 20000-byte message: beyond the pool's largest
+    // buffer (16 KiB), within the 64 KiB reassembly cap, so the bytes
+    // would all fit and then never be deliverable.
+    const BAD: u16 = 31_000;
+    let bad = hub.attach(BAD);
+    hub.inject(raw_syn(BAD));
+    hub.pump();
+    listener.poll().unwrap();
+    hub.inject(raw_handshake_ack(BAD));
+    hub.pump();
+    listener.poll().unwrap();
+    assert_eq!(listener.established_flows(), 2);
+
+    let mut stream = 20_000u32.to_le_bytes().to_vec();
+    stream.resize(4 + 20_000, 0x5A);
+    let mut seq = 2u32;
+    for (i, chunk) in stream.chunks(1000).enumerate() {
+        hub.inject(raw_data(BAD, seq, chunk));
+        seq = seq.wrapping_add(chunk.len() as u32);
+        hub.pump();
+        listener.poll().unwrap();
+        assert!(
+            listener.recv_from().unwrap().is_none(),
+            "nothing deliverable from the oversize flow"
+        );
+        // The well-behaved client is served throughout.
+        roundtrip(
+            &mut listener,
+            &mut hub,
+            &mut good,
+            format!("req {i}").as_bytes(),
+        );
+    }
+
+    assert_eq!(listener.stats().oversize_rsts, 1);
+    assert_eq!(tele.counter("net.tcp.flow.oversize_rsts").get(), 1);
+    assert_eq!(listener.established_flows(), 1, "oversize flow refused");
+    hub.pump();
+    let mut got_rst = false;
+    while let Some(f) = bad.recv() {
+        got_rst |= f.data[OFF_FLAGS] & FLAG_RST != 0;
+    }
+    assert!(got_rst, "the refused peer is told with RST");
+
+    good.close().unwrap();
+    hub.pump();
+    listener.poll().unwrap();
+    assert_eq!(listener.active_flows(), 0);
+    assert_eq!(
+        listener.ctx().pool.live_slots(),
+        baseline,
+        "pool occupancy returns to baseline"
+    );
+}
+
+#[test]
+fn oversized_message_queued_behind_a_delivered_one_is_refused() {
+    let (mut listener, mut hub, _sim, _clock) = rig(FlowConfig::default());
+    let baseline = listener.ctx().pool.live_slots();
+    const PEER: u16 = 31_001;
+    hub.inject(raw_syn(PEER));
+    hub.pump();
+    listener.poll().unwrap();
+    hub.inject(raw_handshake_ack(PEER));
+    hub.pump();
+    listener.poll().unwrap();
+
+    // A small message, then a complete 20000-byte one, both reassembled
+    // before the application reads either.
+    let mut stream = 5u32.to_le_bytes().to_vec();
+    stream.extend_from_slice(b"hello");
+    stream.extend_from_slice(&20_000u32.to_le_bytes());
+    stream.resize(stream.len() + 20_000, 0x5A);
+    let mut seq = 2u32;
+    for chunk in stream.chunks(1000) {
+        hub.inject(raw_data(PEER, seq, chunk));
+        seq = seq.wrapping_add(chunk.len() as u32);
+    }
+    hub.pump();
+    listener.poll().unwrap();
+
+    let (_, msg) = listener.recv_from().unwrap().expect("small message");
+    assert_eq!(msg.as_slice(), b"hello");
+    drop(msg);
+    assert!(
+        listener.recv_from().unwrap().is_none(),
+        "no wedge, no error"
+    );
+    assert_eq!(listener.stats().oversize_rsts, 1);
+    assert_eq!(listener.active_flows(), 0);
+    assert_eq!(listener.ctx().pool.live_slots(), baseline);
 }
 
 /// Advances the world one RTO-ish step: clock, client timers, wire, server.

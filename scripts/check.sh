@@ -50,6 +50,9 @@ echo "==> partition smoke: stale reads under Any, none under Quorum"
 cargo test -q -p cf-bench --lib experiments::partition
 cargo test -q --test cluster_consistency
 
+echo "==> benchmark gates: perfbench workload smoke tests + corrupted-reply oracle"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 if [ "${1:-}" = "--full" ]; then
     echo "==> full: cargo test --workspace -q"
     cargo test --workspace -q

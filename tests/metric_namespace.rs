@@ -249,6 +249,16 @@ fn every_registered_metric_is_documented_and_well_formed() {
             "{required} not registered by ClusterClient::set_telemetry"
         );
     }
+    // So are the flow table's refusals of hostile peers.
+    for required in [
+        "net.tcp.listen.syn_overflow_rsts",
+        "net.tcp.flow.oversize_rsts",
+    ] {
+        assert!(
+            registered.contains(required),
+            "{required} not registered by TcpListener::set_telemetry"
+        );
+    }
 }
 
 #[test]
